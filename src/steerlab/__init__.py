@@ -54,7 +54,6 @@ from .steering import (
 )
 from .symplectic import (
     CovarianceMatrix,
-    ModePartition,
     apply_symplectic,
     conditional_log_det,
     is_pure,

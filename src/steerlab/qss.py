@@ -7,6 +7,16 @@ rate K_full replaces the check-quadrature variance with the worst
 single-player inference, guarding against a dishonest player.  Both are
 reported in nats and may be negative (no guaranteed key).
 
+One array kernel, :func:`key_rates`, computes every rate.  It takes the
+x- and p-block stacks X, P of shape (N, 3, 3) of standard-form states,
+whose CM is X (+) P, and returns the joint and single-player
+conditional variances, the joint gains and the rates of all N states
+at once.  ``fig2_campaign`` builds and checks its rows in one batch
+(:func:`steerlab.states.standard_form_blocks`) and rates them in one
+call; the single-state functions check the standard form once per call
+and pass the CM's two blocks to the same kernel as a batch of one.
+:func:`conditional_variance` stays as the general-CM operation.
+
 All physical variances are covariance-matrix entries divided by two,
 so the vacuum variance is 1/2.  That normalization is what makes
 4 V_{P|Pbar} V_{X|Xbar} = 1/a^2 hold on pure standard-form states, and
@@ -19,17 +29,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, InternalError, UsageError
 from .monogamy import rgs_closed_form
 from .states import (
     OpticalNetworkParams,
+    PureThreeModeParams,
     SamplerConfig,
     _params_sample,
     db_from_r,
     ghz_network,
     local_invariants,
+    standard_form_blocks,
     standard_form_pure,
 )
 from .symplectic import CovarianceMatrix, is_pure
@@ -42,7 +53,8 @@ LN_E_HALF = 1.0 - math.log(2.0)  # ln(e/2)
 RGS_POSITIVITY_THRESHOLD = 2.0 * LN_E_HALF
 
 _DEALER_LABELS = ("A", "B", "C")
-_QUADS = ("x", "p")
+_QUADS = ("x", "p")  # order of the quadrature axes of KeyRates
+_X, _P = 0, 1
 
 
 @dataclass(frozen=True)
@@ -134,18 +146,80 @@ def _players(dealer: int):
     return tuple(m for m in range(3) if m != dealer)
 
 
-def _joint_variance(sigma, dealer, quadrature):
-    b, c = _players(dealer)
-    return conditional_variance(
-        sigma, (dealer, quadrature), [(b, quadrature), (c, quadrature)]
+# Dealer d and its players j < k, as index arrays over d = A, B, C.
+_D = np.arange(3)
+_J = np.array([1, 0, 0])
+_K = np.array([2, 2, 1])
+
+
+@dataclass(frozen=True)
+class KeyRates:
+    """Key-rate ingredients of N standard-form states, as arrays.
+
+    Quadrature axes run (x, p), dealer axes (A, B, C), and player axes
+    over the dealer's two players in ascending order.  Variances are
+    physical (vacuum 1/2); rates are raw, in nats.
+    """
+
+    joint: np.ndarray  # (N, 2, 3): dealer's quadrature given both players'
+    gains: np.ndarray  # (N, 2, 3, 2): the players' weights (g, h) in it
+    single: np.ndarray  # (N, 2, 3, 2): dealer's quadrature given one player's
+    k_e: np.ndarray  # (N, 3): against an external eavesdropper
+    k_full: np.ndarray  # (N, 2, 3): full rate with key quadrature x or p
+
+
+def key_rates(x: np.ndarray, p: np.ndarray) -> KeyRates:
+    """Conditional variances, gains and key rates of standard-form states.
+
+    ``x`` and ``p`` are the (N, 3, 3) x- and p-block stacks of pure
+    three-mode states in standard form.  Each variance is one half of a
+    Schur complement in its quadrature's block: of the player's entry,
+    X_dd - X_dj (X_dj / X_jj), for one player, and of the players' 2x2
+    block, X_dd - (X_dj g + X_dk h) with gains (g, h) solving that
+    block's system, for both; on the ill-conditioned b = c = 10^3
+    family this order of operations errs no more than an LU solve.  The
+    general form is kept rather than the purity shortcut 1 / (X^-1)_dd,
+    so that 4 V_P V_X = 1/a^2 remains a test of the state.  Every
+    operation acts elementwise along the batch, so a row's result does
+    not depend on the other rows.
+    """
+    q = np.stack((x, p), axis=1)
+    qdd, qjj, qkk = q[..., _D, _D], q[..., _J, _J], q[..., _K, _K]
+    qdj, qdk, qjk = q[..., _D, _J], q[..., _D, _K], q[..., _J, _K]
+    single = 0.5 * np.stack((qdd - qdj * (qdj / qjj), qdd - qdk * (qdk / qkk)), axis=-1)
+    # gains (g, h) solve the players' 2x2 system, eliminating j: h is the
+    # dealer-k covariance over k's variance, both given j
+    t = qjk / qjj
+    h = (qdk - qdj * t) / (qkk - qjk * t)
+    g = (qdj - qjk * h) / qjj
+    joint = 0.5 * (qdd - (qdj * g + qdk * h))
+    ln_joint = np.log(joint)
+    # the key quadrature is inferred jointly, the other one (the check)
+    # by the worse single player
+    ln_check = np.log(single.max(axis=-1))[:, ::-1]
+    return KeyRates(
+        joint=joint,
+        gains=np.stack((g, h), axis=-1),
+        single=single,
+        k_e=-1.0 - 0.5 * (ln_joint[:, _P] + ln_joint[:, _X]),
+        k_full=-1.0 - 0.5 * (ln_joint + ln_check),
     )
 
 
-def _single_check_variances(sigma, dealer, quadrature):
-    return {
-        player: conditional_variance(sigma, (dealer, quadrature), [(player, quadrature)])[0]
-        for player in _players(dealer)
-    }
+def _state_rates(sigma: CovarianceMatrix) -> KeyRates:
+    """:func:`key_rates` of one state, checked to be in standard form."""
+    require_standard_form(sigma)
+    m = sigma.matrix
+    return key_rates(m[0::2, 0::2][None], m[1::2, 1::2][None])
+
+
+def _full_rates(sigma: CovarianceMatrix, key_quadrature: str) -> np.ndarray:
+    """Raw K_full of one state per dealer, for the key quadrature 'x',
+    'p', or 'best' (the larger of the two)."""
+    if key_quadrature != "best" and key_quadrature not in _QUADS:
+        raise UsageError(f"key_quadrature must be 'p', 'x' or 'best', got {key_quadrature!r}")
+    k_full = _state_rates(sigma).k_full[0]
+    return k_full.max(axis=0) if key_quadrature == "best" else k_full[_QUADS.index(key_quadrature)]
 
 
 def key_rate_eve(sigma: CovarianceMatrix, dealer) -> float:
@@ -155,11 +229,7 @@ def key_rate_eve(sigma: CovarianceMatrix, dealer) -> float:
     the players' optimal joint variables.  On pure standard-form states
     this equals G^{(players)->dealer} - ln(e/2) whenever positive.
     """
-    require_standard_form(sigma)
-    d = _dealer_index(dealer)
-    v_p, _ = _joint_variance(sigma, d, "p")
-    v_x, _ = _joint_variance(sigma, d, "x")
-    return -1.0 - 0.5 * (math.log(v_p) + math.log(v_x))
+    return float(_state_rates(sigma).k_e[0, _dealer_index(dealer)])
 
 
 def key_rate_full(sigma: CovarianceMatrix, dealer, key_quadrature: str = "p") -> float:
@@ -171,22 +241,12 @@ def key_rate_full(sigma: CovarianceMatrix, dealer, key_quadrature: str = "p") ->
     ``key_quadrature`` is 'p' (default), 'x', or 'best' for the larger
     of the two assignments.
     """
-    if key_quadrature == "best":
-        return max(key_rate_full(sigma, dealer, q) for q in ("p", "x"))
-    if key_quadrature not in _QUADS:
-        raise UsageError(f"key_quadrature must be 'p', 'x' or 'best', got {key_quadrature!r}")
-    require_standard_form(sigma)
-    d = _dealer_index(dealer)
-    check = "x" if key_quadrature == "p" else "p"
-    v_key, _ = _joint_variance(sigma, d, key_quadrature)
-    v_check = max(_single_check_variances(sigma, d, check).values())
-    return -1.0 - 0.5 * (math.log(v_key) + math.log(v_check))
+    return float(_full_rates(sigma, key_quadrature)[_dealer_index(dealer)])
 
 
 def key_rate_mode_invariant(sigma: CovarianceMatrix, key_quadrature: str = "p") -> float:
     """Minimum of the raw K_full over the three dealer assignments."""
-    require_standard_form(sigma)
-    return min(key_rate_full(sigma, d, key_quadrature) for d in range(3))
+    return float(_full_rates(sigma, key_quadrature).min())
 
 
 @dataclass(frozen=True)
@@ -258,29 +318,29 @@ def key_rate_report(sigma: CovarianceMatrix, key_quadrature: str = "p") -> KeyRa
     """Full evaluation for every dealer, with the RGS bound slacks."""
     if key_quadrature not in _QUADS:
         raise UsageError(f"report key_quadrature must be 'p' or 'x', got {key_quadrature!r}")
-    require_standard_form(sigma)
-    check = "x" if key_quadrature == "p" else "p"
-    records = []
-    for d in range(3):
-        v_p, gains_p = _joint_variance(sigma, d, "p")
-        v_x, gains_x = _joint_variance(sigma, d, "x")
-        records.append(
-            DealerRecord(
-                dealer=_DEALER_LABELS[d],
-                v_p_joint=v_p,
-                v_x_joint=v_x,
-                gains_p=gains_p,
-                gains_x=gains_x,
-                v_check_single=_single_check_variances(sigma, d, check),
-                k_e_raw=key_rate_eve(sigma, d),
-                k_full_raw=key_rate_full(sigma, d, key_quadrature),
-            )
+    rates = _state_rates(sigma)
+    key = _QUADS.index(key_quadrature)
+    check = _P if key == _X else _X
+    joint, gains, single = rates.joint[0].tolist(), rates.gains[0].tolist(), rates.single[0].tolist()
+    k_e, k_full = rates.k_e[0].tolist(), rates.k_full[0, key].tolist()
+    records = tuple(
+        DealerRecord(
+            dealer=_DEALER_LABELS[d],
+            v_p_joint=joint[_P][d],
+            v_x_joint=joint[_X][d],
+            gains_p=JointGains(*gains[_P][d]),
+            gains_x=JointGains(*gains[_X][d]),
+            v_check_single=dict(zip(_players(d), single[check][d])),
+            k_e_raw=k_e[d],
+            k_full_raw=k_full[d],
         )
-    k = min(r.k_full_raw for r in records)
+        for d in range(3)
+    )
+    k = min(k_full)
     g = rgs_closed_form(local_invariants(sigma))
     return KeyRateReport(
         key_quadrature=key_quadrature,
-        dealers=tuple(records),
+        dealers=records,
         mode_invariant_raw=k,
         rgs=g,
         slack_lower=k - (g / 2.0 - LN_E_HALF),
@@ -307,6 +367,9 @@ def threshold_squeezing_ghz(r_lo: float = 1e-4, r_hi: float = 2.0) -> GhzThresho
     Bracketed root find in the squeezing parameter r at R = 1/3,
     R' = 1/2, resolved to 1e-10.
     """
+    # imported here: scipy.optimize takes most of a cold start of the CLI
+    from scipy.optimize import brentq
+
     f_lo, f_hi = _ghz_key_rate(r_lo), _ghz_key_rate(r_hi)
     if not (f_lo < 0.0 < f_hi):
         raise InternalError(
@@ -321,18 +384,6 @@ _SERIES_POINTS = 201
 _UPPER_FAMILY_BC = 1e3
 
 
-def _fig2_row(index: int, series: str, params) -> tuple:
-    a, b, c = params.as_tuple() if hasattr(params, "as_tuple") else params
-    sigma = standard_form_pure((a, b, c))
-    g = rgs_closed_form((a, b, c))
-    k = key_rate_mode_invariant(sigma)
-    lower = g / 2.0 - LN_E_HALF
-    upper = g - LN_E_HALF
-    return (
-        index, a, b, c, g, k, max(0.0, k), lower, upper, k - lower, upper - k, series,
-    )
-
-
 def fig2_campaign(cfg: SamplerConfig, threads: int = 1) -> SweepTable:
     """Monte Carlo key rate versus RGS, with boundary and GHZ overlays.
 
@@ -340,27 +391,35 @@ def fig2_campaign(cfg: SamplerConfig, threads: int = 1) -> SweepTable:
     followed by the lower-boundary family b = c = (a+1)/2, the
     upper-boundary family b = c = 10^3, and the a = b = c family
     (series ``lower_boundary``, ``upper_boundary``, ``ghz``), each on a
-    fixed grid of a in [1, a_max].  Rows are ordered by sample index
-    regardless of thread count.
+    fixed grid of a in [1, a_max].  Sample i draws its triple from its
+    own generator; then every row is built, checked and rated in one
+    batch, so rows are ordered by sample index regardless of thread
+    count.
     """
-
-    def sample_row(i: int) -> tuple:
-        params = _params_sample(cfg.rng_for(i), cfg.a_max, cfg.distribution)
-        return _fig2_row(i, "sample", params)
-
-    rows = ordered_map(sample_row, range(cfg.count), threads)
-    index = cfg.count
-    a_grid = np.linspace(1.0, cfg.a_max, _SERIES_POINTS)
-    for series, triple in (
+    params = ordered_map(
+        lambda i: _params_sample(cfg.rng_for(i), cfg.a_max, cfg.distribution),
+        range(cfg.count),
+        threads,
+    )
+    series = ["sample"] * cfg.count
+    a_grid = np.linspace(1.0, cfg.a_max, _SERIES_POINTS).tolist()
+    for name, family in (
         ("lower_boundary", lambda a: (a, (a + 1.0) / 2.0, (a + 1.0) / 2.0)),
         ("upper_boundary", lambda a: (a, _UPPER_FAMILY_BC, _UPPER_FAMILY_BC)),
         ("ghz", lambda a: (a, a, a)),
     ):
-        def series_row(ia, series=series, triple=triple):
-            return _fig2_row(ia[0], series, triple(float(ia[1])))
-
-        rows.extend(ordered_map(series_row, enumerate(a_grid, start=index), threads))
-        index += len(a_grid)
+        params += [PureThreeModeParams(*family(a)) for a in a_grid]
+        series += [name] * len(a_grid)
+    # mode-invariant rate with the default key quadrature p
+    k_raw = key_rates(*standard_form_blocks(params)).k_full[:, _P].min(axis=-1)
+    rows = []
+    for index, (par, name, k) in enumerate(zip(params, series, k_raw.tolist())):
+        g = rgs_closed_form(par)
+        lower = g / 2.0 - LN_E_HALF
+        upper = g - LN_E_HALF
+        rows.append(
+            (index, *par.as_tuple(), g, k, max(0.0, k), lower, upper, k - lower, upper - k, name)
+        )
     return SweepTable(
         (
             "sample_index", "a", "b", "c", "rgs", "k_raw", "k_clamped",

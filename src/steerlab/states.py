@@ -15,12 +15,11 @@ import numpy as np
 
 from .errors import DomainError, InternalError, UsageError
 from .symplectic import (
+    PURITY_ATOL,
     CovarianceMatrix,
     apply_symplectic,
     is_pure,
-    log_det,
     partial_trace,
-    symplectic_eigenvalues,
 )
 
 # Slack accepted when checking the triangle condition on (a, b, c);
@@ -284,44 +283,109 @@ def _onto_triangle(a: float, b: float, c: float):
     return tuple(inv)
 
 
+# Columns of the (N, 9) entry table a, b, c, then (e_plus, e_minus) of
+# the pairs AB, AC, BC, gathered into the x block (invariants and
+# e_plus) and the p block (invariants and e_minus).
+_X_ENTRIES = [0, 3, 5, 3, 1, 7, 5, 7, 2]
+_P_ENTRIES = [0, 4, 6, 4, 1, 8, 6, 8, 2]
+
+
+def standard_form_blocks(triples):
+    """x- and p-block stacks of pure three-mode states in standard form.
+
+    ``triples`` holds N local-invariant triples, each a
+    :class:`PureThreeModeParams` or a plain (a, b, c).  Returns X, P of
+    shape (N, 3, 3): the CM restricted to the x (respectively p)
+    quadratures, with the invariants on the diagonal and the e_plus
+    (respectively e_minus) correlations off it.  Scalar local blocks and
+    diagonal inter-modal blocks make the CM X (+) P in the quadrature
+    order x1 x2 x3 p1 p2 p3, so the two blocks hold all of it.  A
+    triple that lies outside the region by no more than the accepted
+    slack is first moved onto its edge.  Each triple's entries are
+    scalar, exactly rounded sums; every row is then verified, in one
+    batch, before it is returned (see :func:`_check_blocks`).
+    """
+    params = [p if isinstance(p, PureThreeModeParams) else PureThreeModeParams(*p) for p in triples]
+    if not params:
+        raise UsageError("at least one (a, b, c) triple is required")
+    entries = []
+    for par in params:
+        a, b, c = _onto_triangle(*par.as_tuple())
+        entries.append((a, b, c, *_interblock(a, b, c), *_interblock(a, c, b), *_interblock(b, c, a)))
+    table = np.array(entries)
+    x = table[:, _X_ENTRIES].reshape(-1, 3, 3)
+    p = table[:, _P_ENTRIES].reshape(-1, 3, 3)
+    _check_blocks(x, p, table[:, :3], params)
+    return x, p
+
+
+def _check_blocks(x, p, invariants, params) -> None:
+    """Raise :class:`InternalError` naming the first row that is not a
+    pure state with the wanted invariants.
+
+    Checks, per row: finite entries; X and P positive definite
+    (Cholesky); purity, every symplectic eigenvalue within
+    ``PURITY_ATOL`` of 1, where the spectrum of X (+) P is
+    nu^2 = eig(L^T P L) with X = L L^T; unit determinant,
+    |ln det X + ln det P| <= 1e-8; and sqrt(X_ii P_ii) reproducing the
+    invariants within 1e-9.
+    """
+    infinite = np.flatnonzero(~np.all(np.isfinite(x) & np.isfinite(p), axis=(-2, -1)))
+    if infinite.size:
+        raise InternalError(f"standard form for {params[infinite[0]].as_tuple()} has a non-finite entry")
+    try:
+        lx = np.linalg.cholesky(x)
+        lp = np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        for row, par in enumerate(params):
+            try:
+                np.linalg.cholesky(x[row])
+                np.linalg.cholesky(p[row])
+            except np.linalg.LinAlgError:
+                raise InternalError(f"standard form for {par.as_tuple()} is not positive definite")
+        raise
+    nu = np.sqrt(np.linalg.eigvalsh(np.swapaxes(lx, -1, -2) @ p @ lx))
+    impurity = np.max(np.abs(nu - 1.0), axis=-1)
+    logdet = 2.0 * (
+        np.sum(np.log(np.diagonal(lx, axis1=-2, axis2=-1)), axis=-1)
+        + np.sum(np.log(np.diagonal(lp, axis1=-2, axis2=-1)), axis=-1)
+    )
+    got = np.sqrt(np.diagonal(x, axis1=-2, axis2=-1) * np.diagonal(p, axis1=-2, axis2=-1))
+    drift = np.max(np.abs(got - invariants), axis=-1)
+    bad_pure = ~(impurity <= PURITY_ATOL)  # a negative nu^2 gives a NaN, which fails
+    bad_det = np.abs(logdet) > 1e-8
+    bad_inv = drift > 1e-9
+    failed = np.flatnonzero(bad_pure | bad_det | bad_inv)
+    if failed.size == 0:
+        return
+    row = failed[0]
+    triple = params[row].as_tuple()
+    if bad_pure[row]:
+        raise InternalError(
+            f"standard form for {triple} is not pure (worst |nu - 1| = {impurity[row]:.3e})"
+        )
+    if bad_det[row]:
+        raise InternalError(f"standard form for {triple} has ln det = {logdet[row]:.3e}")
+    raise InternalError(
+        f"standard form reproduced invariants {tuple(got[row].tolist())}, wanted {triple}"
+    )
+
+
 def standard_form_pure(params: PureThreeModeParams) -> CovarianceMatrix:
     """Pure three-mode CM in standard form from its local invariants.
 
     Local 2x2 blocks are a I, b I, c I; each inter-modal block is
     diag(e_plus, e_minus), the positive branch carrying the x
-    correlations.  A triple that lies outside the region by no more than
-    the accepted slack is first moved onto its edge.  The closed-form
-    entries are verified at construction: the output must be pure, have
-    unit determinant, and reproduce (a, b, c), otherwise an internal
-    error is raised.
+    correlations.  A batch of one of :func:`standard_form_blocks`, so
+    the closed-form entries are verified once, at construction: the
+    output must be pure, have unit determinant, and reproduce (a, b, c),
+    otherwise an internal error is raised.
     """
-    if not isinstance(params, PureThreeModeParams):
-        params = PureThreeModeParams(*params)
-    a, b, c = _onto_triangle(*params.as_tuple())
+    x, p = standard_form_blocks([params])
     m = np.zeros((6, 6))
-    for mode, inv in enumerate((a, b, c)):
-        m[2 * mode, 2 * mode] = inv
-        m[2 * mode + 1, 2 * mode + 1] = inv
-    triples = {(0, 1): (a, b, c), (0, 2): (a, c, b), (1, 2): (b, c, a)}
-    for (i, j), (ai, aj, ak) in triples.items():
-        ep, em = _interblock(ai, aj, ak)
-        m[2 * i, 2 * j] = m[2 * j, 2 * i] = ep
-        m[2 * i + 1, 2 * j + 1] = m[2 * j + 1, 2 * i + 1] = em
-    sigma = CovarianceMatrix(3, m)
-    if not is_pure(sigma):
-        nu = symplectic_eigenvalues(sigma.matrix)
-        raise InternalError(
-            f"standard form for {params.as_tuple()} is not pure "
-            f"(worst |nu - 1| = {np.max(np.abs(nu - 1.0)):.3e})"
-        )
-    if abs(log_det(sigma)) > 1e-8:
-        raise InternalError(
-            f"standard form for {params.as_tuple()} has ln det = {log_det(sigma):.3e}"
-        )
-    got = local_invariants(sigma)
-    if max(abs(g - w) for g, w in zip(got, (a, b, c))) > 1e-9:
-        raise InternalError(f"standard form reproduced invariants {got}, wanted {params.as_tuple()}")
-    return sigma
+    m[0::2, 0::2] = x[0]
+    m[1::2, 1::2] = p[0]
+    return CovarianceMatrix._from_valid(3, m)
 
 
 def local_invariants(sigma: CovarianceMatrix):

@@ -47,6 +47,18 @@ def quadrature_indices(modes) -> list:
     return sorted(i for m in modes for i in (2 * m, 2 * m + 1))
 
 
+def _numeric_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a float array, or :class:`UsageError` for input that
+    is not a rectangular array of finite numbers."""
+    try:
+        m = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError):
+        raise UsageError("covariance matrix must be an array of numbers with rows of equal length")
+    if not np.all(np.isfinite(m)):
+        raise UsageError("covariance matrix entries must be finite numbers")
+    return m
+
+
 def _as_matrix(sigma) -> np.ndarray:
     if isinstance(sigma, CovarianceMatrix):
         return sigma.matrix
@@ -67,7 +79,7 @@ class CovarianceMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _numeric_matrix(self.matrix)
         n = self.n_modes
         if n < 1:
             raise UsageError("n_modes must be a positive integer")
@@ -99,7 +111,7 @@ class CovarianceMatrix:
 
     @classmethod
     def from_matrix(cls, matrix) -> "CovarianceMatrix":
-        m = np.asarray(matrix, dtype=float)
+        m = _numeric_matrix(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise UsageError(f"covariance matrix must be square of even size, got {m.shape}")
         return cls(n_modes=m.shape[0] // 2, matrix=m)
@@ -112,35 +124,9 @@ class CovarianceMatrix:
         try:
             n = int(data["n_modes"])
             m = data["matrix"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"covariance-matrix dict needs 'n_modes' and 'matrix': {exc}")
-        return cls(n_modes=n, matrix=np.asarray(m, dtype=float))
-
-
-@dataclass(frozen=True)
-class ModePartition:
-    """Disjoint, non-empty sets of mode indices designating parties.
-
-    The union may be a strict subset of the modes of a state; remaining
-    modes are traced out by the caller before use.
-    """
-
-    n_modes: int
-    parts: tuple
-
-    def __post_init__(self):
-        parts = tuple(tuple(sorted(set(int(m) for m in p))) for p in self.parts)
-        seen = set()
-        for p in parts:
-            if not p:
-                raise UsageError("every party must contain at least one mode")
-            for m in p:
-                if not 0 <= m < self.n_modes:
-                    raise UsageError(f"mode index {m} out of range for {self.n_modes} modes")
-                if m in seen:
-                    raise UsageError(f"mode {m} assigned to more than one party")
-                seen.add(m)
-        object.__setattr__(self, "parts", parts)
+        return cls(n_modes=n, matrix=m)
 
 
 @dataclass(frozen=True)

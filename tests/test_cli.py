@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +123,35 @@ def test_analyze_malformed_json_exits_2(run_cli, tmp_path, monkeypatch):
     (tmp_path / "bad.json").write_text("{not json")
     code, _, err = run_cli("analyze", "--input", "bad.json", "--rgs")
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n_modes": 1, "matrix": "abc"}',
+        '{"n_modes": 1, "matrix": [[1.0, 0.0], [0.0]]}',
+        '{"n_modes": 2, "matrix": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], '
+        '[0.0, 0.0, Infinity, 0.0], [0.0, 0.0, 0.0, 1.0]]}',
+    ],
+    ids=["string-matrix", "ragged-rows", "infinite-entry"],
+)
+def test_analyze_malformed_state_file_exits_2(run_cli, tmp_path, monkeypatch, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(text)
+    code, out, err = run_cli("analyze", "--input", "bad.json", "--steering", "A", "B")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize is needed only by `threshold`, and importing it
+    # takes most of a cold start
+    code = "import sys, steerlab.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_small_suites_pass(run_cli, tmp_path, monkeypatch):

@@ -28,9 +28,11 @@ from steerlab import (
     two_mode_squeezed,
     vacuum,
 )
-from steerlab.qss import require_standard_form
-from steerlab.states import r_from_db
+from steerlab.qss import key_rates, require_standard_form
+from steerlab.states import r_from_db, standard_form_blocks
 from steerlab.symplectic import apply_symplectic
+
+from test_states import EDGE_TRIPLES
 
 TWO_LN_E_HALF = 0.6137056388801094  # 2 ln(e/2)
 K_E_A2 = 2.0 * math.log(2.0) - 1.0  # ln(2a) - 1 at a = 2
@@ -275,3 +277,74 @@ def test_fig2_campaign_structure():
 def test_fig2_campaign_thread_invariant():
     cfg = SamplerConfig(seed=9, count=40)
     assert fig2_campaign(cfg, threads=1).to_csv_text() == fig2_campaign(cfg, threads=4).to_csv_text()
+
+
+def _kernel_triples():
+    sampled = [p.as_tuple() for p in random_params(SamplerConfig(seed=13, count=60))]
+    return sampled + EDGE_TRIPLES + [(a, 1e3, 1e3) for a in (1.0, 2.14, 5.0)]
+
+
+def test_key_rates_bit_identical_to_batch_of_one():
+    triples = _kernel_triples()
+    x, p = standard_form_blocks(triples)
+    rates = key_rates(x, p)
+    fields = ("joint", "gains", "single", "k_e", "k_full")
+    for row, abc in enumerate(triples):
+        one = key_rates(x[row : row + 1], p[row : row + 1])
+        for name in fields:
+            assert np.array_equal(getattr(one, name)[0], getattr(rates, name)[row]), (abc, name)
+        # the single-state API runs the same kernel on the same entries
+        sigma = standard_form_pure(abc)
+        assert key_rate_mode_invariant(sigma) == rates.k_full[row, 1].min()
+        assert key_rate_eve(sigma, 2) == rates.k_e[row, 2]
+
+
+def test_key_rates_variance_product_identity():
+    triples = _kernel_triples()[:60]
+    rates = key_rates(*standard_form_blocks(triples))
+    v_x, v_p = rates.joint[:, 0], rates.joint[:, 1]
+    np.testing.assert_allclose(4.0 * v_p * v_x, 1.0 / np.square(triples), rtol=1e-12)
+
+
+def test_fig2_campaign_rows_match_single_state_api():
+    table = fig2_campaign(SamplerConfig(seed=3, count=20, a_max=4.5))
+    for row in table.rows[::7]:
+        _, a, b, c, _, k_raw = row[:6]
+        assert k_raw == key_rate_mode_invariant(standard_form_pure((a, b, c)))
+
+
+def _mp_key_rate(abc, key_quadrature):
+    """Mode-invariant key rate at 50 digits from the closed-form entries."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    inv = [mp.mpf(v) for v in abc]
+    x, p = mp.matrix(3, 3), mp.matrix(3, 3)
+    for i in range(3):
+        x[i, i] = p[i, i] = inv[i]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        ai, aj, ak = inv[i], inv[j], inv[3 - i - j]
+        s1 = mp.sqrt((aj + ak - 1 - ai) * (ak + ai - 1 - aj) * (aj + ak + 1 - ai) * (ak + ai + 1 - aj))
+        s2 = mp.sqrt((ai + aj - 1 - ak) * (ai + aj + 1 - ak) * (ai + aj + ak - 1) * (ai + aj + ak + 1))
+        x[i, j] = x[j, i] = (s1 + s2) / (4 * mp.sqrt(ai * aj))
+        p[i, j] = p[j, i] = (s1 - s2) / (4 * mp.sqrt(ai * aj))
+    key, check = (p, x) if key_quadrature == "p" else (x, p)
+    rates = []
+    for d in range(3):
+        j, k = (m for m in range(3) if m != d)
+        block = mp.matrix([[key[j, j], key[j, k]], [key[k, j], key[k, k]]])
+        cross = mp.matrix([key[d, j], key[d, k]])
+        v_key = (key[d, d] - (cross.T * mp.inverse(block) * cross)[0]) / 2
+        v_check = max((check[d, d] - check[d, m] ** 2 / check[m, m]) / 2 for m in (j, k))
+        rates.append(-1 - (mp.log(v_key) + mp.log(v_check)) / 2)
+    return float(min(rates))
+
+
+def test_upper_boundary_family_matches_mpmath():
+    # b = c = 10^3 is the worst-conditioned family: the players' blocks
+    # nearly cancel, and rounding the entries alone costs ~2e-10
+    triples = [(a, 1e3, 1e3) for a in np.linspace(1.0, 5.0, 201).tolist()]
+    k_full = key_rates(*standard_form_blocks(triples)).k_full
+    for q, key_quadrature in enumerate(("x", "p")):
+        got = k_full[:, q].min(axis=-1)
+        for abc, k in zip(triples, got):
+            assert abs(k - _mp_key_rate(abc, key_quadrature)) <= 1e-9, (abc, key_quadrature)

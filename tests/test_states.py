@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from steerlab import (
     DomainError,
+    InternalError,
     OpticalNetworkParams,
     PureThreeModeParams,
     SamplerConfig,
@@ -28,16 +29,23 @@ from steerlab import (
     symplectic_eigenvalues,
     two_mode_squeezed,
 )
+from steerlab import states
+from steerlab.states import standard_form_blocks
 
 
 # Triples on the edges of the (a, b, c) triangle, where one linear
 # factor of the standard-form radicands vanishes: the a = 1 edge in all
 # three cyclic positions, the c = a + b - 1 edge, and the a = 1 corner
-# of that edge, where fl(1 + b - 1) lands one ulp past c = b.
+# of that edge, where fl(1 + b - 1) lands one ulp past c = b.  The
+# a = 1 triples are counterexamples hypothesis found, in all three
+# cyclic positions.
 EDGE_TRIPLES = [
     (1.0, 1.5822910227722475, 1.5822910227722475),
     (1.5822910227722475, 1.5822910227722475, 1.0),
     (1.5822910227722475, 1.0, 1.5822910227722475),
+    (1.0, 1.166703599425454, 1.166703599425454),
+    (1.166703599425454, 1.166703599425454, 1.0),
+    (1.166703599425454, 1.0, 1.166703599425454),
     (1.72, 5.74, 1.72 + 5.74 - 1.0),
     (1.0, 1.16, 1.0 + 1.16 - 1.0),
 ]
@@ -181,7 +189,7 @@ def test_standard_form_includes_product_states():
     np.testing.assert_allclose(sigma.matrix[4:6, 4:6], np.eye(2), atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_standard_form_random_triples(data):
     a = data.draw(st.floats(min_value=1.0, max_value=6.0), label="a")
@@ -191,6 +199,55 @@ def test_standard_form_random_triples(data):
     sigma = standard_form_pure(PureThreeModeParams(a, b, c))
     assert is_pure(sigma, tol=1e-7)
     np.testing.assert_allclose(local_invariants(sigma), (a, b, c), atol=1e-8)
+
+
+def _block_triples():
+    """Random triples, the edge triples and the b = c = 10^3 family."""
+    sampled = [p.as_tuple() for p in random_params(SamplerConfig(seed=11, count=60))]
+    return sampled + EDGE_TRIPLES + [(a, 1e3, 1e3) for a in (1.0, 2.14, 5.0)]
+
+
+def test_standard_form_blocks_bit_identical_to_batch_of_one():
+    triples = _block_triples()
+    x, p = standard_form_blocks(triples)
+    assert x.shape == p.shape == (len(triples), 3, 3)
+    for row, abc in enumerate(triples):
+        x1, p1 = standard_form_blocks([abc])
+        assert np.array_equal(x1[0], x[row]) and np.array_equal(p1[0], p[row])
+        m = standard_form_pure(abc).matrix
+        assert np.array_equal(m[0::2, 0::2], x[row]) and np.array_equal(m[1::2, 1::2], p[row])
+        # the CM is X (+) P: nothing couples an x to a p quadrature
+        assert not np.any(m[0::2, 1::2])
+
+
+def _patched_interblock(monkeypatch, bad, change):
+    """Make ``states._interblock`` return ``change(e_plus, e_minus)`` for
+    the A-B pair of the triple ``bad``, and the true entries elsewhere."""
+    original = states._interblock
+
+    def interblock(ai, aj, ak):
+        entries = original(ai, aj, ak)
+        return change(*entries) if (ai, aj, ak) == bad else entries
+
+    monkeypatch.setattr(states, "_interblock", interblock)
+
+
+def test_standard_form_self_check_names_impure_row(monkeypatch):
+    good, bad = (2.0, 1.5, 1.5), (3.0, 2.5, 1.8)
+    _patched_interblock(monkeypatch, bad, lambda ep, em: (ep * (1.0 + 1e-6), em))
+    with pytest.raises(InternalError, match=r"standard form for \(3\.0, 2\.5, 1\.8\) is not pure"):
+        standard_form_blocks([good, bad, good])
+    standard_form_blocks([good, good])  # the other rows still pass
+
+
+def test_standard_form_self_check_names_indefinite_row(monkeypatch):
+    good, bad = (2.0, 1.5, 1.5), (3.0, 2.5, 1.8)
+    _patched_interblock(monkeypatch, bad, lambda ep, em: (10.0 * ep, em))
+    with pytest.raises(InternalError, match=r"\(3\.0, 2\.5, 1\.8\) is not positive definite"):
+        standard_form_blocks([good, bad])
+    _patched_interblock(monkeypatch, good, lambda ep, em: (ep, float("nan")))
+    with pytest.raises(InternalError, match=r"\(2\.0, 1\.5, 1\.5\) has a non-finite entry"):
+        standard_form_pure(good)
 
 
 def test_random_pure_deterministic_and_pure(quick_cfg):

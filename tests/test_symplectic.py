@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from steerlab import (
     CovarianceMatrix,
     DomainError,
-    ModePartition,
     UsageError,
     apply_symplectic,
     beamsplitter,
@@ -101,15 +100,6 @@ def test_dict_round_trip():
 def test_odd_dimension_rejected():
     with pytest.raises(UsageError):
         CovarianceMatrix.from_matrix(np.eye(3))
-
-
-def test_mode_partition_validates():
-    with pytest.raises(UsageError):
-        ModePartition(n_modes=3, parts=([0, 1], [1, 2]))
-    with pytest.raises(UsageError):
-        ModePartition(n_modes=3, parts=([0], [1], [5]))
-    part = ModePartition(n_modes=3, parts=([0], [1, 2]))
-    assert part.parts == ((0,), (1, 2))
 
 
 def test_symplectic_eigenvalue_squeezed_vacuum():
