@@ -8,6 +8,10 @@ For pure three-mode states the minimum residual over permutations is the
 same in both directions and has the closed form ln min{bc/a, ca/b,
 ab/c}; that quantity, the RGS, is a quantifier of genuine tripartite
 steering.
+
+One kernel, :func:`residual_kernel`, evaluates every residual of a stack
+of states; :func:`monogamy_residual` and :func:`rgs` pass it a batch of
+one.
 """
 
 from __future__ import annotations
@@ -19,13 +23,15 @@ import numpy as np
 
 from .errors import DomainError, InternalError, UsageError
 from .states import PureThreeModeParams, ghz_network, local_invariants, OpticalNetworkParams
-from .steering import gaussian_steering
-from .symplectic import CovarianceMatrix, is_pure, partial_trace
+from .steering import steering_values
+from .symplectic import CovarianceMatrix, is_pure
 from .tables import SweepTable, ordered_map
 
 # Direction tags: the focus party is steered by the rest, or steers it.
 STEERED_BY_REST = "steered-by-rest"
 STEERS_REST = "steers-rest"
+# Order of the direction axis of the kernel's arrays.
+DIRECTIONS = (STEERED_BY_REST, STEERS_REST)
 
 
 @dataclass(frozen=True)
@@ -70,14 +76,53 @@ def _single_mode_parties(sigma: CovarianceMatrix, parties):
     return out
 
 
-def _pairwise_term(sigma, mode_i, mode_j, direction):
-    """G between two single-mode parties on their two-party marginal."""
-    pair = sorted((mode_i, mode_j))
-    marginal = partial_trace(sigma, pair)
-    i, j = pair.index(mode_i), pair.index(mode_j)
-    if direction == STEERED_BY_REST:
-        return gaussian_steering(marginal, steering=[j], steered=[i]).value
-    return gaussian_steering(marginal, steering=[i], steered=[j]).value
+def _gathered(stack: np.ndarray, orders) -> np.ndarray:
+    """The marginal (or reordering) on each mode list of ``orders``,
+    for every state, stacked state-major: (N * len(orders), 2k, 2k)."""
+    idx = np.array([[q for m in order for q in (2 * m, 2 * m + 1)] for order in orders])
+    out = stack[:, idx[:, :, None], idx[:, None, :]]
+    return out.reshape(-1, idx.shape[1], idx.shape[1])
+
+
+def residual_kernel(stack: np.ndarray):
+    """Every monogamy residual of a stack of states of single-mode parties.
+
+    ``stack`` is (N, 2n, 2n), one party per mode.  Returns
+
+    * ``collective`` (N, 2, n): G^{rest -> k} and G^{k -> rest},
+    * ``pairwise`` (N, n, n): G^{i -> j} on the {i, j} marginal, zero
+      diagonal,
+    * ``residual`` (N, 2, n): collective minus the pairwise terms into
+      (``steered-by-rest``) or out of (``steers-rest``) focus k, summed
+      over the other parties in ascending order.
+
+    Each distinct G is evaluated once, in four kernel calls: the n focus
+    reorderings (rest first, ascending) in both directions, and the
+    n(n-1)/2 pair marginals in both directions.
+    """
+    count, n = len(stack), stack.shape[-1] // 2
+    rest = [[j for j in range(n) if j != k] for k in range(n)]
+    into = _gathered(stack, [r + [k] for k, r in enumerate(rest)])
+    out_of = _gathered(stack, [[k] + r for k, r in enumerate(rest)])
+    collective = np.stack((
+        steering_values(into, tuple(range(n - 1)), (n - 1,))[0].reshape(count, n),
+        steering_values(out_of, (0,), tuple(range(1, n)))[0].reshape(count, n),
+    ), axis=1)
+    first, second = np.triu_indices(n, 1)
+    marginals = _gathered(stack, list(zip(first, second)))
+    pairwise = np.zeros((count, n, n))
+    pairwise[:, first, second] = steering_values(marginals, (0,), (1,))[0].reshape(count, -1)
+    pairwise[:, second, first] = steering_values(marginals, (1,), (0,))[0].reshape(count, -1)
+    # summed term by term, so that the order is the one monogamy_residual uses
+    residual = np.empty_like(collective)
+    for k in range(n):
+        steered_sum = steering_sum = 0.0
+        for j in rest[k]:
+            steered_sum = steered_sum + pairwise[:, j, k]
+            steering_sum = steering_sum + pairwise[:, k, j]
+        residual[:, 0, k] = collective[:, 0, k] - steered_sum
+        residual[:, 1, k] = collective[:, 1, k] - steering_sum
+    return collective, pairwise, residual
 
 
 def monogamy_residual(sigma: CovarianceMatrix, parties, k: int, direction: str) -> MonogamyReport:
@@ -90,26 +135,28 @@ def monogamy_residual(sigma: CovarianceMatrix, parties, k: int, direction: str) 
 
     where each pairwise term is evaluated on the corresponding two-party
     marginal.  Both residuals are non-negative for every valid state.
+    The terms come from :func:`residual_kernel` on a batch of one; the
+    pairwise terms are listed, and summed, in the order of ``parties``.
     """
     modes = _single_mode_parties(sigma, parties)
     if not 0 <= k < len(modes):
         raise UsageError(f"focus index {k} out of range for {len(modes)} parties")
-    if direction not in (STEERED_BY_REST, STEERS_REST):
+    if direction not in DIRECTIONS:
         raise UsageError(f"unknown direction {direction!r}")
     focus = modes[k]
     rest = [m for m in modes if m != focus]
+    collective, pairwise, _ = residual_kernel(sigma.matrix[None])
+    collective = float(collective[0, DIRECTIONS.index(direction), focus])
     if direction == STEERED_BY_REST:
-        collective = gaussian_steering(sigma, steering=rest, steered=[focus]).value
+        terms = tuple(float(pairwise[0, j, focus]) for j in rest)
     else:
-        collective = gaussian_steering(sigma, steering=[focus], steered=rest).value
-    pairwise = tuple(_pairwise_term(sigma, focus, j, direction) for j in rest)
-    residual = collective - sum(pairwise)
+        terms = tuple(float(pairwise[0, focus, j]) for j in rest)
     return MonogamyReport(
         focus=k,
         direction=direction,
-        collective=float(collective),
-        pairwise=pairwise,
-        residual=float(residual),
+        collective=collective,
+        pairwise=terms,
+        residual=collective - sum(terms),
     )
 
 
@@ -147,12 +194,12 @@ def rgs(sigma: CovarianceMatrix) -> RgsValue:
         raise UsageError(f"rgs needs a 3-mode state, got {sigma.n_modes} modes")
     if not is_pure(sigma):
         raise DomainError("rgs is defined for pure three-mode states")
-    residuals = {}
-    for direction in (STEERED_BY_REST, STEERS_REST):
-        for k in range(3):
-            residuals[(k, direction)] = monogamy_residual(
-                sigma, [0, 1, 2], k, direction
-            ).residual
+    _, _, residual = residual_kernel(sigma.matrix[None])
+    residuals = {
+        (k, direction): float(residual[0, d, k])
+        for d, direction in enumerate(DIRECTIONS)
+        for k in range(3)
+    }
     min_steered = min(residuals[(k, STEERED_BY_REST)] for k in range(3))
     min_steering = min(residuals[(k, STEERS_REST)] for k in range(3))
     if abs(min_steered - min_steering) > 1e-9:

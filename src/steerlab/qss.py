@@ -206,6 +206,13 @@ def key_rates(x: np.ndarray, p: np.ndarray) -> KeyRates:
     )
 
 
+def mode_invariant_rates(triples) -> np.ndarray:
+    """Raw mode-invariant K_full, with the default key quadrature p, of
+    the standard-form states of N (a, b, c) triples, built, checked and
+    rated in one batch."""
+    return key_rates(*standard_form_blocks(triples)).k_full[:, _P].min(axis=-1)
+
+
 def _state_rates(sigma: CovarianceMatrix) -> KeyRates:
     """:func:`key_rates` of one state, checked to be in standard form."""
     require_standard_form(sigma)
@@ -410,8 +417,7 @@ def fig2_campaign(cfg: SamplerConfig, threads: int = 1) -> SweepTable:
     ):
         params += [PureThreeModeParams(*family(a)) for a in a_grid]
         series += [name] * len(a_grid)
-    # mode-invariant rate with the default key quadrature p
-    k_raw = key_rates(*standard_form_blocks(params)).k_full[:, _P].min(axis=-1)
+    k_raw = mode_invariant_rates(params)
     rows = []
     for index, (par, name, k) in enumerate(zip(params, series, k_raw.tolist())):
         g = rgs_closed_form(par)

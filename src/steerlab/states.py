@@ -19,7 +19,7 @@ from .symplectic import (
     CovarianceMatrix,
     apply_symplectic,
     is_pure,
-    partial_trace,
+    require_bona_fide,
 )
 
 # Slack accepted when checking the triangle condition on (a, b, c);
@@ -381,11 +381,16 @@ def standard_form_pure(params: PureThreeModeParams) -> CovarianceMatrix:
     output must be pure, have unit determinant, and reproduce (a, b, c),
     otherwise an internal error is raised.
     """
-    x, p = standard_form_blocks([params])
-    m = np.zeros((6, 6))
-    m[0::2, 0::2] = x[0]
-    m[1::2, 1::2] = p[0]
-    return CovarianceMatrix._from_valid(3, m)
+    return CovarianceMatrix._from_valid(3, standard_form_matrices(*standard_form_blocks([params]))[0])
+
+
+def standard_form_matrices(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(N, 6, 6) CMs, interleaved x1 p1 x2 p2 x3 p3, from the x- and
+    p-block stacks of :func:`standard_form_blocks`."""
+    m = np.zeros((len(x), 6, 6))
+    m[:, 0::2, 0::2] = x
+    m[:, 1::2, 1::2] = p
+    return m
 
 
 def local_invariants(sigma: CovarianceMatrix):
@@ -400,34 +405,75 @@ def local_invariants(sigma: CovarianceMatrix):
     return tuple(out)
 
 
-def _haar_orthogonal_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random orthogonal symplectic 2n x 2n matrix (interleaved order).
+def _haar_orthogonal_symplectic(z: np.ndarray) -> np.ndarray:
+    """Random orthogonal symplectic 2n x 2n matrices (interleaved order).
 
-    Built from a Haar-distributed complex n x n unitary via QR with the
-    phase convention of Mezzadri, then mapped to its real representation
-    [[Re U, -Im U], [Im U, Re U]] and permuted from xxpp to interleaved
+    ``z`` is a (N, n, n) stack of complex Gaussian matrices.  One batched
+    QR with the phase convention of Mezzadri turns each into a
+    Haar-distributed unitary U, whose real representation
+    [[Re U, -Im U], [Im U, Re U]] is written straight into interleaved
     ordering.  Orthogonal symplectic by construction.
     """
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    o = np.block([[q.real, -q.imag], [q.imag, q.real]])
-    perm = np.empty(2 * n, dtype=int)
-    perm[0::2] = np.arange(n)
-    perm[1::2] = np.arange(n) + n
-    return o[np.ix_(perm, perm)]
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[..., None, :]
+    o = np.empty(q.shape[:-2] + (2 * q.shape[-1],) * 2)
+    o[..., 0::2, 0::2] = q.real
+    o[..., 0::2, 1::2] = -q.imag
+    o[..., 1::2, 0::2] = q.imag
+    o[..., 1::2, 1::2] = q.real
+    return o
+
+
+def _pure_draws(n_modes: int, rng: np.random.Generator, r_max: float):
+    """One pure state's random numbers, in the sampler's fixed order: the
+    real then the imaginary Gaussian parts of z, then the squeezings."""
+    shape = (n_modes, n_modes)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    r = rng.uniform(0.0, r_max, n_modes) if r_max > 0.0 else np.zeros(n_modes)
+    return z, r
+
+
+def _pure_stack(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Pure CMs O Z^2 O^T from stacked draws, validated as one batch and
+    symmetrized."""
+    o = _haar_orthogonal_symplectic(z)
+    z2 = np.empty(o.shape[:-1])
+    z2[..., 0::2] = np.exp(2.0 * r)
+    z2[..., 1::2] = np.exp(-2.0 * r)
+    # sigma = S S^T with S = O Z; the second orthogonal factor of the
+    # Bloch-Messiah form cancels in S S^T, so O Z covers all pure CMs
+    m = (o * z2[..., None, :]) @ np.swapaxes(o, -1, -2)
+    require_bona_fide(m)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def pure_samples(n_modes: int, rngs, r_max: float) -> np.ndarray:
+    """(N, 2n, 2n) random pure CMs, row i drawn from the i-th generator."""
+    z, r = zip(*(_pure_draws(n_modes, rng, r_max) for rng in rngs))
+    return _pure_stack(np.stack(z), np.stack(r))
+
+
+def mixed_samples(n_parties: int, rngs, r_max: float) -> np.ndarray:
+    """(N, 2n, 2n) random mixed CMs, row i drawn from the i-th generator.
+
+    Each generator draws one or two ancilla modes, then a pure state of
+    the parties and the ancillas; the row is that state's marginal on
+    the parties.  The pure states are built and validated in one batch
+    per total mode count.
+    """
+    draws = [_pure_draws(n_parties + int(rng.integers(1, 3)), rng, r_max) for rng in rngs]
+    dim = 2 * n_parties
+    out = np.empty((len(draws), dim, dim))
+    for total in sorted({z.shape[0] for z, _ in draws}):
+        rows = [i for i, (z, _) in enumerate(draws) if z.shape[0] == total]
+        pure = _pure_stack(np.stack([draws[i][0] for i in rows]), np.stack([draws[i][1] for i in rows]))
+        out[rows] = pure[:, :dim, :dim]
+    return out
 
 
 def _pure_sample(n_modes: int, rng: np.random.Generator, r_max: float) -> CovarianceMatrix:
-    o = _haar_orthogonal_symplectic(n_modes, rng)
-    r = rng.uniform(0.0, r_max, n_modes) if r_max > 0.0 else np.zeros(n_modes)
-    z2 = np.empty(2 * n_modes)
-    z2[0::2] = np.exp(2.0 * r)
-    z2[1::2] = np.exp(-2.0 * r)
-    # sigma = S S^T with S = O Z; the second orthogonal factor of the
-    # Bloch-Messiah form cancels in S S^T, so O Z covers all pure CMs
-    return CovarianceMatrix(n_modes, (o * z2) @ o.T)
+    return CovarianceMatrix._from_valid(n_modes, pure_samples(n_modes, [rng], r_max)[0])
 
 
 def random_pure(n_modes: int, cfg: SamplerConfig):
@@ -439,9 +485,8 @@ def random_pure(n_modes: int, cfg: SamplerConfig):
 
 
 def _mixed_sample(n_parties: int, rng: np.random.Generator, r_max: float) -> CovarianceMatrix:
-    ancillas = int(rng.integers(1, 3))
-    pure = _pure_sample(n_parties + ancillas, rng, r_max)
-    return partial_trace(pure, range(n_parties))
+    # a principal submatrix of a bona fide CM is itself bona fide
+    return CovarianceMatrix._from_valid(n_parties, mixed_samples(n_parties, [rng], r_max)[0])
 
 
 def random_mixed(n_parties: int, cfg: SamplerConfig):

@@ -2,7 +2,9 @@
 
 G^{A->B} is computed from the symplectic eigenvalues nu_j of the Schur
 complement of the steering party's block: G = -sum_{nu_j < 1} ln nu_j,
-zero when no nu_j drops below 1.  The log-determinant shortcut for a
+zero when no nu_j drops below 1.  One kernel, :func:`steering_values`,
+evaluates it on a stack of covariance matrices; the single-state
+functions pass it a batch of one.  The log-determinant shortcut for a
 single-mode steered party, the pure-state coincidence with Renyi-2
 entanglement, and the exclusivity / log-det bound predicates live here
 as well.
@@ -20,8 +22,9 @@ from .symplectic import (
     is_pure,
     log_det,
     partial_trace,
-    schur_complement,
-    symplectic_eigenvalues,
+    quadrature_indices,
+    schur_complements,
+    symplectic_spectra,
 )
 
 # Schur-complement eigenvalues within this distance of 1 are treated as
@@ -83,10 +86,23 @@ def gaussian_steering(sigma: CovarianceMatrix, steering, steered) -> SteeringVal
         spectrum of the conditional (Schur-complement) matrix.
     """
     steering, steered = _normalize_parties(sigma, steering, steered)
-    nu = symplectic_eigenvalues(schur_complement(sigma, removed=steering))
-    below = nu < 1.0 - NU_ATOL
-    value = float(-np.sum(np.log(nu[below]))) if below.any() else 0.0
-    return SteeringValue(value, steering, steered, tuple(float(v) for v in nu))
+    values, nu = steering_values(sigma.matrix[None], steering, steered)
+    return SteeringValue(float(values[0]), steering, steered, tuple(nu[0].tolist()))
+
+
+def steering_values(stack: np.ndarray, steering, steered):
+    """G^{steering -> steered} of every CM in a (N, 2n, 2n) stack.
+
+    ``steering`` and ``steered`` are ascending mode tuples that
+    partition the n modes, the same for every row.  Returns the (N,)
+    values and the (N, k) Schur spectra, k the steered party's modes.
+    A state with no nu below 1 - ``NU_ATOL`` gets exactly +0.0.
+    """
+    nu = symplectic_spectra(schur_complements(stack, steering, steered))
+    # summing zeros over the masked entries, rather than negating a sum
+    # over the selection, keeps an empty selection at +0.0, not -0.0
+    values = np.where(nu < 1.0 - NU_ATOL, -np.log(nu), 0.0).sum(axis=-1)
+    return values, nu
 
 
 def steering_one_mode_steered(sigma: CovarianceMatrix, steering, steered) -> float:
@@ -119,30 +135,40 @@ def renyi2_pure_bipartite_entanglement(sigma: CovarianceMatrix, part) -> float:
     return 0.5 * log_det(partial_trace(sigma, part))
 
 
+def exclusivity_values(stack: np.ndarray, party_a, party_b, steered_mode: int) -> np.ndarray:
+    """min(G^{A->C}, G^{B->C}) of every CM in a (N, 2n, 2n) stack.
+
+    Each value is taken on the respective two-party marginal.  A and B
+    may hold any number of modes; C is one mode.
+    """
+    n = stack.shape[-1] // 2
+    c = int(steered_mode)
+    values = []
+    for party in (party_a, party_b):
+        party = tuple(sorted(set(int(m) for m in party)))
+        if not party:
+            raise UsageError("steering parties must be non-empty")
+        if c in party:
+            raise UsageError("steered mode cannot belong to a steering party")
+        order = sorted(party + (c,))
+        if order[0] < 0 or order[-1] >= n:
+            raise UsageError(f"mode indices out of range for {n} modes")
+        idx = quadrature_indices(order)
+        marginal = stack[..., idx, :][..., idx]
+        steering = tuple(order.index(m) for m in party)
+        values.append(steering_values(marginal, steering, (order.index(c),))[0])
+    return np.minimum(*values)
+
+
 def exclusivity_check(sigma: CovarianceMatrix, party_a, party_b, steered_mode: int,
                       tol: float = 1e-9) -> bool:
     """Two parties cannot both steer the same single-mode party.
 
     Computes G^{A->C} and G^{B->C} on the respective two-party marginals
-    and checks min of the two <= tol.  A and B may hold any number of
-    modes; C is one mode.
+    and checks min of the two <= tol (:func:`exclusivity_values` of a
+    batch of one).
     """
-    c = int(steered_mode)
-    values = []
-    for party in (party_a, party_b):
-        party = tuple(sorted(set(int(m) for m in party)))
-        if c in party:
-            raise UsageError("steered mode cannot belong to a steering party")
-        order = sorted(party + (c,))
-        marginal = partial_trace(sigma, order)
-        values.append(
-            gaussian_steering(
-                marginal,
-                steering=[order.index(m) for m in party],
-                steered=[order.index(c)],
-            ).value
-        )
-    return min(values) <= tol
+    return bool(exclusivity_values(sigma.matrix[None], party_a, party_b, steered_mode)[0] <= tol)
 
 
 @dataclass(frozen=True)

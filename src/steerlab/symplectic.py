@@ -23,8 +23,6 @@ from .errors import DomainError, UsageError
 SYMMETRY_ATOL = 1e-9
 # Accept nu_k >= 1 - VALIDITY_TOL to absorb roundoff in sampled pure states.
 VALIDITY_TOL = 1e-8
-# Relative tolerance when pairing the +i nu / -i nu eigenvalues of Omega M.
-PAIR_RTOL = 1e-6
 # max_k |nu_k - 1| below this counts as pure.
 PURITY_ATOL = 1e-8
 
@@ -87,9 +85,7 @@ class CovarianceMatrix:
             raise UsageError(
                 f"expected a {2 * n}x{2 * n} matrix for {n} modes, got {m.shape}"
             )
-        report = is_valid_cm(m)
-        if not report.ok:
-            raise DomainError(f"not a bona fide covariance matrix: {report}")
+        require_bona_fide(m[None])
         m = 0.5 * (m + m.T)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -122,8 +118,11 @@ class CovarianceMatrix:
     @classmethod
     def from_dict(cls, data: dict) -> "CovarianceMatrix":
         try:
-            n = int(data["n_modes"])
-            m = data["matrix"]
+            raw, m = data["n_modes"], data["matrix"]
+            # int() would truncate 1.9 and read true as 1
+            if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+                raise ValueError(f"n_modes must be an integer, got {raw!r}")
+            n = int(raw)
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"covariance-matrix dict needs 'n_modes' and 'matrix': {exc}")
         return cls(n_modes=n, matrix=m)
@@ -146,31 +145,82 @@ class ValidityReport:
         )
 
 
+def _swap(stack: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return np.swapaxes(stack, -1, -2)
+
+
+def _validity(stack: np.ndarray):
+    """Bona fide diagnostics of a (N, 2n, 2n) stack, one entry per matrix.
+
+    Returns the symmetry defects, the least eigenvalues, the least
+    symplectic eigenvalues and the verdicts.  A row that fails a check
+    gets NaN for the later ones, and a non-finite row fails the first.
+    """
+    defect = np.max(np.abs(stack - _swap(stack)), axis=(-2, -1))
+    min_eig = np.full(len(stack), np.nan)
+    min_nu = np.full(len(stack), np.nan)
+    sym = 0.5 * (stack + _swap(stack))
+    rows = np.flatnonzero(defect <= SYMMETRY_ATOL)
+    if rows.size:
+        min_eig[rows] = np.linalg.eigvalsh(sym[rows]).min(axis=-1)
+        rows = rows[min_eig[rows] > 0.0]
+    if rows.size:
+        min_nu[rows] = symplectic_spectra(sym[rows]).min(axis=-1)
+    return defect, min_eig, min_nu, min_nu >= 1.0 - VALIDITY_TOL
+
+
 def is_valid_cm(matrix) -> ValidityReport:
     """Check the bona fide CM conditions, reporting the worst defects.
 
     A valid CM is symmetric, positive definite, and has all symplectic
     eigenvalues >= 1 (the uncertainty principle sigma + i Omega >= 0).
     """
-    m = _as_matrix(matrix)
-    sym_defect = float(np.max(np.abs(m - m.T)))
-    if sym_defect > SYMMETRY_ATOL:
-        return ValidityReport(sym_defect, np.nan, np.nan, False)
-    ms = 0.5 * (m + m.T)
-    min_eig = float(np.linalg.eigvalsh(ms).min())
-    if min_eig <= 0.0:
-        return ValidityReport(sym_defect, min_eig, np.nan, False)
-    min_nu = float(symplectic_eigenvalues(ms).min())
-    ok = min_nu >= 1.0 - VALIDITY_TOL
-    return ValidityReport(sym_defect, min_eig, min_nu, ok)
+    defect, min_eig, min_nu, ok = _validity(_as_matrix(matrix)[None])
+    return ValidityReport(float(defect[0]), float(min_eig[0]), float(min_nu[0]), bool(ok[0]))
+
+
+def require_bona_fide(stack: np.ndarray) -> None:
+    """Raise :class:`DomainError` with the report of the first matrix of
+    the stack that is not a bona fide CM."""
+    defect, min_eig, min_nu, ok = _validity(stack)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = bad[0]
+        report = ValidityReport(float(defect[i]), float(min_eig[i]), float(min_nu[i]), False)
+        raise DomainError(f"not a bona fide covariance matrix: {report}")
+
+
+def symplectic_spectra(stack) -> np.ndarray:
+    """Symplectic eigenvalues of a stack of symmetric positive-definite
+    matrices, shape (..., 2n, 2n) to (..., n), each row ascending.
+
+    One mode has nu = sqrt(det M), since det(Omega M) = det M and the
+    eigenvalues of Omega M are +-i nu.  More modes use the Cholesky
+    factor M = L L^T: i Omega M is similar to the Hermitian i L^T Omega L,
+    whose eigenvalues are the pairs +-nu_k, so the n largest are the
+    spectrum (Serafini, Quantum Continuous Variables, 2017, ch. 3).  The
+    factorization is also the positive-definiteness check.  Applies to
+    covariance matrices and to Schur complements alike.
+    """
+    m = np.asarray(stack, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
+        raise DomainError(f"expected square matrices of even size, got {m.shape}")
+    if np.any(np.max(np.abs(m - _swap(m)), axis=(-2, -1)) > SYMMETRY_ATOL):
+        raise DomainError("matrix is not symmetric")
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise DomainError("matrix is not positive definite")
+    n = m.shape[-1] // 2
+    if n == 1:
+        return np.sqrt(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])[..., None]
+    return np.linalg.eigvalsh(1j * (_swap(chol) @ omega(n) @ chol))[..., n:]
 
 
 def symplectic_eigenvalues(matrix) -> np.ndarray:
-    """Symplectic eigenvalues of a symmetric positive-definite matrix.
-
-    The eigenvalues of Omega M come in pairs +-i nu_k with nu_k > 0; the
-    n moduli are returned sorted ascending, each reported once.  Applies
-    to covariance matrices and to Schur complements alike.
+    """Symplectic eigenvalues of one symmetric positive-definite matrix:
+    :func:`symplectic_spectra` of a batch of one.
 
     Parameters
     ----------
@@ -183,27 +233,24 @@ def symplectic_eigenvalues(matrix) -> np.ndarray:
         The n values nu_k, ascending.
     """
     m = _as_matrix(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+    if m.ndim != 2:
         raise DomainError(f"expected a square matrix of even size, got {m.shape}")
-    if np.max(np.abs(m - m.T)) > SYMMETRY_ATOL:
-        raise DomainError("matrix is not symmetric")
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise DomainError("matrix is not positive definite")
-    n = m.shape[0] // 2
-    if n == 1:
-        # det(Omega M) = det M and its eigenvalues are +-i nu, so nu = sqrt(det M)
-        return np.array([np.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])])
-    moduli = np.sort(np.abs(np.linalg.eigvals(omega(n) @ m)))
-    lo, hi = moduli[0::2], moduli[1::2]
-    # eigenvalues come in +-i nu pairs; adjacent sorted moduli must match
-    mismatch = np.abs(hi - lo) / np.maximum(np.abs(hi), 1.0)
-    if np.any(mismatch > PAIR_RTOL):
-        raise DomainError(
-            f"could not pair eigenvalue moduli (worst relative gap {mismatch.max():.3e})"
-        )
-    return 0.5 * (lo + hi)
+    return symplectic_spectra(m[None])[0]
+
+
+def schur_complements(stack: np.ndarray, removed, kept) -> np.ndarray:
+    """Schur complements of the ``removed`` modes' block in a stack.
+
+    ``removed`` and ``kept`` are disjoint ascending mode lists; every
+    matrix gives sigma_kept - C^T (sigma_removed)^{-1} C, C the cross
+    block, by one batched solve, symmetrized.
+    """
+    ir = quadrature_indices(removed)
+    ik = quadrature_indices(kept)
+    rows = stack[..., ir, :]
+    c = rows[..., ik]
+    out = stack[..., ik, :][..., ik] - _swap(c) @ np.linalg.solve(rows[..., ir], c)
+    return 0.5 * (out + _swap(out))
 
 
 def schur_complement(sigma: CovarianceMatrix, removed) -> np.ndarray:
@@ -224,14 +271,7 @@ def schur_complement(sigma: CovarianceMatrix, removed) -> np.ndarray:
     if len(removed) == n:
         raise UsageError("cannot remove every mode; a proper subset is required")
     kept = [m for m in range(n) if m not in removed]
-    ir = quadrature_indices(removed)
-    ik = quadrature_indices(kept)
-    m = sigma.matrix
-    a = m[np.ix_(ir, ir)]
-    c = m[np.ix_(ir, ik)]
-    b = m[np.ix_(ik, ik)]
-    out = b - c.T @ np.linalg.solve(a, c)
-    return 0.5 * (out + out.T)
+    return schur_complements(sigma.matrix[None], removed, kept)[0]
 
 
 def partial_trace(sigma: CovarianceMatrix, kept) -> CovarianceMatrix:

@@ -132,8 +132,10 @@ def test_analyze_malformed_json_exits_2(run_cli, tmp_path, monkeypatch):
         '{"n_modes": 1, "matrix": [[1.0, 0.0], [0.0]]}',
         '{"n_modes": 2, "matrix": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], '
         '[0.0, 0.0, Infinity, 0.0], [0.0, 0.0, 0.0, 1.0]]}',
+        '{"n_modes": 1.9, "matrix": [[1.0, 0.0], [0.0, 1.0]]}',
+        '{"n_modes": true, "matrix": [[1.0, 0.0], [0.0, 1.0]]}',
     ],
-    ids=["string-matrix", "ragged-rows", "infinite-entry"],
+    ids=["string-matrix", "ragged-rows", "infinite-entry", "fractional-n-modes", "boolean-n-modes"],
 )
 def test_analyze_malformed_state_file_exits_2(run_cli, tmp_path, monkeypatch, text):
     monkeypatch.chdir(tmp_path)

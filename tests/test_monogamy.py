@@ -11,17 +11,24 @@ from steerlab import (
     CovarianceMatrix,
     DomainError,
     PureThreeModeParams,
+    SamplerConfig,
     UsageError,
     fig1a_sweep,
     fig1b_sweep,
+    gaussian_steering,
     monogamy_residual,
+    partial_trace,
+    random_mixed,
     rgs,
     rgs_closed_form,
     standard_form_pure,
     two_mode_squeezed,
     vacuum,
 )
-from steerlab.monogamy import STEERED_BY_REST, STEERS_REST
+from steerlab import monogamy
+from steerlab.monogamy import DIRECTIONS, STEERED_BY_REST, STEERS_REST, residual_kernel
+from steerlab.states import mixed_samples
+from steerlab.steering import steering_values
 
 from test_states import EDGE_TRIPLES
 
@@ -161,3 +168,76 @@ def test_sweep_validation():
         fig1a_sweep(2.0, grid=10, b_max=0.5)
     with pytest.raises(UsageError):
         fig1b_sweep(0.3, grid=1)
+
+
+# RGS recorded from the per-state implementation that the batched
+# kernel replaced.
+PINNED_RGS = {
+    (2.0, 2.0, 2.0): 0.6931471805599455,
+    (1.0, 1.5822910227722475, 1.5822910227722475): 0.0,
+    (1.5822910227722475, 1.5822910227722475, 1.0): 0.0,
+    (1.5822910227722475, 1.0, 1.5822910227722475): 0.0,
+    (1.0, 1.166703599425454, 1.166703599425454): -1.3877787807814457e-16,
+    (1.166703599425454, 1.166703599425454, 1.0): -1.3877787807814457e-16,
+    (1.166703599425454, 1.0, 1.166703599425454): -1.3877787807814457e-16,
+    (1.72, 5.74, 1.72 + 5.74 - 1.0): 0.42415418336232236,
+    (1.0, 1.16, 1.0 + 1.16 - 1.0): 0.0,
+}
+
+
+def test_pinned_rgs_unchanged():
+    assert set(PINNED_RGS) == {(2.0, 2.0, 2.0), *EDGE_TRIPLES}
+    for abc, want in PINNED_RGS.items():
+        assert abs(rgs(standard_form_pure(abc)).value - want) <= 1e-12, abc
+
+
+@pytest.mark.parametrize("n_parties", [3, 4])
+def test_residual_kernel_rows_match_batch_of_one(n_parties):
+    cfg = SamplerConfig(seed=9, count=1)
+    stack = mixed_samples(n_parties, [cfg.rng_for(i) for i in range(60)], 1.0)
+    collective, pairwise, residual = residual_kernel(stack)
+    assert residual.shape == (60, 2, n_parties)
+    for i in range(len(stack)):
+        one = residual_kernel(stack[i : i + 1])
+        for batched, single in zip((collective, pairwise, residual), one):
+            assert np.array_equal(batched[i], single[0])
+        sigma = CovarianceMatrix.from_matrix(stack[i])
+        for d, direction in enumerate(DIRECTIONS):
+            for k in range(n_parties):
+                rep = monogamy_residual(sigma, list(range(n_parties)), k, direction)
+                assert rep.residual == residual[i, d, k]
+
+
+def test_residual_kernel_evaluates_each_distinct_term_once(monkeypatch):
+    rows = []
+
+    def counting(stack, steering, steered):
+        rows.append(len(stack))
+        return steering_values(stack, steering, steered)
+
+    monkeypatch.setattr(monogamy, "steering_values", counting)
+    for n in (3, 4):
+        rows.clear()
+        stack = mixed_samples(n, [SamplerConfig(seed=2).rng_for(i) for i in range(5)], 1.0)
+        residual_kernel(stack)
+        # 2n collective terms and n(n - 1) ordered pairwise terms per state
+        assert len(rows) == 4
+        assert sum(rows) == 5 * (2 * n + n * (n - 1))
+
+
+def test_residual_kernel_matches_marginal_steering(quick_cfg):
+    sigma = next(iter(random_mixed(3, quick_cfg)))
+    collective, pairwise, _ = residual_kernel(sigma.matrix[None])
+    for i in range(3):
+        rest = [j for j in range(3) if j != i]
+        assert collective[0, 0, i] == gaussian_steering(sigma, rest, [i]).value
+        np.testing.assert_allclose(
+            collective[0, 1, i], gaussian_steering(sigma, [i], rest).value, rtol=0, atol=1e-14
+        )
+        assert pairwise[0, i, i] == 0.0
+        for j in rest:
+            pair = sorted((i, j))
+            marginal = partial_trace(sigma, pair)
+            assert pairwise[0, i, j] == gaussian_steering(
+                marginal, [pair.index(i)], [pair.index(j)]
+            ).value

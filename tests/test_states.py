@@ -296,3 +296,31 @@ def test_sampler_streams_are_index_keyed():
     b = cfg.rng_for(5).uniform()
     c = cfg.rng_for(6).uniform()
     assert a == b and a != c
+
+
+@pytest.mark.parametrize("n_parties", [2, 3, 4])
+def test_mixed_samples_bit_identical_to_mixed_sample(n_parties):
+    cfg = SamplerConfig(seed=11, count=1)
+    indices = range(100, 180)
+    stack = states.mixed_samples(n_parties, [cfg.rng_for(i) for i in indices], 1.0)
+    assert stack.shape == (len(indices), 2 * n_parties, 2 * n_parties)
+    for row, i in zip(stack, indices):
+        one = states._mixed_sample(n_parties, cfg.rng_for(i), r_max=1.0)
+        assert one.n_modes == n_parties
+        assert np.array_equal(one.matrix, row)
+
+
+@pytest.mark.parametrize("n_modes", [1, 3])
+def test_pure_samples_bit_identical_and_pure(n_modes):
+    cfg = SamplerConfig(seed=4, count=1)
+    stack = states.pure_samples(n_modes, [cfg.rng_for(i) for i in range(30)], 1.0)
+    for i, row in enumerate(stack):
+        one = states._pure_sample(n_modes, cfg.rng_for(i), 1.0)
+        assert np.array_equal(one.matrix, row)
+        np.testing.assert_allclose(symplectic_eigenvalues(row), 1.0, rtol=0, atol=1e-12)
+
+
+def test_random_mixed_draws_from_the_batched_sampler(quick_cfg):
+    stack = states.mixed_samples(3, [quick_cfg.rng_for(i) for i in range(quick_cfg.count)], quick_cfg.r_max)
+    for row, sigma in zip(stack, random_mixed(3, quick_cfg)):
+        assert np.array_equal(row, sigma.matrix)

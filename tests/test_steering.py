@@ -15,11 +15,17 @@ from steerlab import (
     logdet_steering_bound_check,
     random_mixed,
     random_pure,
+    partial_trace,
     renyi2_pure_bipartite_entanglement,
+    standard_form_pure,
     steering_one_mode_steered,
     two_mode_squeezed,
     vacuum,
 )
+from steerlab.states import mixed_samples
+from steerlab.steering import exclusivity_values, steering_values
+
+from test_states import EDGE_TRIPLES
 
 LN_COSH_1 = 0.4337808304830271  # ln cosh 1, TMSV at r = 0.5
 
@@ -152,3 +158,74 @@ def test_logdet_bound_not_applicable_when_unsteerable():
     rep = logdet_steering_bound_check(vacuum(2), steering=[0], steered=[1])
     assert not rep.applicable
     assert rep.steering_value == 0.0
+
+
+# G^{k -> rest} and G^{rest -> k} for k = 0, 1, 2, recorded from the
+# per-state implementation that the batched kernel replaced.
+PINNED_SPLITS = {
+    (2.0, 2.0, 2.0): [0.6931471805599458, 0.6931471805599455] * 3,
+    (1.0, 1.5822910227722475, 1.5822910227722475): [0.0, 0.0] + [0.45887381119592624] * 4,
+    (1.5822910227722475, 1.5822910227722475, 1.0): [0.45887381119592624] * 4 + [0.0, 0.0],
+    (1.5822910227722475, 1.0, 1.5822910227722475): (
+        [0.45887381119592624] * 2 + [0.0, 0.0] + [0.45887381119592624] * 2
+    ),
+    (1.0, 1.166703599425454, 1.166703599425454): [0.0, 0.0] + [0.15418233597658615, 0.1541823359765863] * 2,
+    (1.166703599425454, 1.166703599425454, 1.0): [0.15418233597658615, 0.1541823359765863] * 2 + [0.0, 0.0],
+    (1.166703599425454, 1.0, 1.166703599425454): (
+        [0.15418233597658615, 0.1541823359765863, 0.0, 0.0] + [0.15418233597658615, 0.1541823359765863]
+    ),
+    (1.72, 5.74, 1.72 + 5.74 - 1.0): [
+        0.54232429082536, 0.5423242908253624, 1.7474592103314728,
+        1.747459210331473, 1.865629317794515, 1.8656293177945105,
+    ],
+    (1.0, 1.16, 1.0 + 1.16 - 1.0): [0.0, 0.0] + [0.14842000511827322] * 4,
+}
+
+
+def test_pinned_tmsv_steering_unchanged(tmsv_half):
+    for steering, steered in (([0], [1]), ([1], [0])):
+        got = gaussian_steering(tmsv_half, steering, steered).value
+        assert abs(got - 0.4337808304830273) <= 1e-12
+
+
+@pytest.mark.parametrize("abc", [(2.0, 2.0, 2.0)] + EDGE_TRIPLES, ids=repr)
+def test_pinned_three_mode_splits_unchanged(abc):
+    sigma = standard_form_pure(abc)
+    got = []
+    for k in range(3):
+        rest = [j for j in range(3) if j != k]
+        got += [gaussian_steering(sigma, [k], rest).value, gaussian_steering(sigma, rest, [k]).value]
+    np.testing.assert_allclose(got, PINNED_SPLITS[abc], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [vacuum(2), CovarianceMatrix.from_matrix(two_mode_squeezed(0.3).matrix + 0.6 * np.eye(4))],
+    ids=["vacuum", "noisy-tmsv"],
+)
+def test_unsteerable_value_is_positive_zero(sigma):
+    for steering, steered in (([0], [1]), ([1], [0])):
+        value = gaussian_steering(sigma, steering, steered).value
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    (stack_value,), _ = steering_values(sigma.matrix[None], (0,), (1,))
+    assert math.copysign(1.0, stack_value) == 1.0
+
+
+def test_steering_values_rows_match_batch_of_one():
+    stack = mixed_samples(4, [SamplerConfig(seed=5).rng_for(i) for i in range(40)], 1.0)
+    for steering, steered in (((0,), (1, 2, 3)), ((1, 3), (0, 2)), ((0, 1, 2), (3,))):
+        values, nu = steering_values(stack, steering, steered)
+        for i in range(len(stack)):
+            one = gaussian_steering(CovarianceMatrix.from_matrix(stack[i]), steering, steered)
+            assert one.value == values[i]
+            assert one.schur_spectrum == tuple(nu[i].tolist())
+
+
+def test_exclusivity_values_match_marginal_steering(quick_cfg):
+    stack = np.array([s.matrix for s in random_mixed(3, quick_cfg)])
+    values = exclusivity_values(stack, (0,), (1,), 2)
+    for sigma, value in zip(random_mixed(3, quick_cfg), values):
+        pair = [
+            gaussian_steering(partial_trace(sigma, [m, 2]), [0], [1]).value for m in (0, 1)
+        ]
+        assert value == min(pair)

@@ -23,7 +23,13 @@ from steerlab import (
     two_mode_squeezed,
     vacuum,
 )
-from steerlab.symplectic import quadrature_indices
+from steerlab.symplectic import (
+    _validity,
+    quadrature_indices,
+    require_bona_fide,
+    schur_complements,
+    symplectic_spectra,
+)
 
 from conftest import random_spd
 
@@ -209,3 +215,81 @@ def test_squeezer_rotation_orbit_stays_pure(r, theta):
     out = apply_symplectic(vacuum(1), rot @ sq)
     assert is_pure(out)
     np.testing.assert_allclose(symplectic_eigenvalues(out.matrix), [1.0], rtol=1e-9)
+
+
+def _cm_stack(seed, n_modes, count):
+    from steerlab.states import SamplerConfig, mixed_samples
+
+    cfg = SamplerConfig(seed=seed, count=1)
+    return mixed_samples(n_modes, [cfg.rng_for(i) for i in range(count)], 1.0)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+def test_symplectic_spectra_rows_match_batch_of_one(n_modes):
+    stack = _cm_stack(3, n_modes, 25) if n_modes > 1 else np.array(
+        [[[2.0 + i, 0.1], [0.1, 1.0 + i]] for i in range(25)]
+    )
+    nu = symplectic_spectra(stack)
+    assert nu.shape == (25, n_modes)
+    assert np.all(np.diff(nu, axis=-1) >= 0.0)
+    for row, values in zip(stack, nu):
+        assert np.array_equal(symplectic_eigenvalues(row), values)
+
+
+def test_symplectic_spectra_williamson_form():
+    # S diag(nu1, nu1, nu2, nu2) S^T has spectrum (nu1, nu2) for symplectic S
+    s = beamsplitter(0.3, (0, 1), 2) @ np.diag([2.0, 0.5, 1.0, 1.0])
+    m = s @ np.diag([1.5, 1.5, 4.0, 4.0]) @ s.T
+    np.testing.assert_allclose(symplectic_spectra(m[None])[0], [1.5, 4.0], rtol=1e-13)
+
+
+def test_symplectic_spectra_rejects_bad_stacks():
+    with pytest.raises(DomainError):
+        symplectic_spectra(np.eye(3)[None])
+    with pytest.raises(DomainError):
+        symplectic_spectra(np.array([np.eye(2), np.diag([1.0, -1.0])]))
+    lopsided = np.eye(2)
+    lopsided[0, 1] = 1e-3
+    with pytest.raises(DomainError):
+        symplectic_spectra(lopsided[None])
+
+
+def test_require_bona_fide_reports_first_bad_row():
+    stack = np.array([np.eye(2), 0.5 * np.eye(2), 0.25 * np.eye(2)])
+    with pytest.raises(DomainError, match="min symplectic eigenvalue 0.500000000"):
+        require_bona_fide(stack)
+    require_bona_fide(stack[:1])
+
+
+def test_validity_of_a_stack_matches_is_valid_cm():
+    asym = 2.0 * np.eye(2)
+    asym[0, 1] = 1e-3
+    stack = np.array([3.0 * np.eye(2), 0.5 * np.eye(2), np.diag([1.0, -1.0]), asym])
+    defect, min_eig, min_nu, ok = _validity(stack)
+    for i, m in enumerate(stack):
+        rep = is_valid_cm(m)
+        assert rep.ok == ok[i]
+        np.testing.assert_array_equal(
+            [rep.symmetry_defect, rep.min_eigenvalue, rep.min_symplectic_eigenvalue],
+            [defect[i], min_eig[i], min_nu[i]],
+        )
+    assert list(ok) == [True, False, False, False]
+
+
+def test_schur_complements_rows_match_single_state():
+    stack = _cm_stack(8, 3, 10)
+    out = schur_complements(stack, [0, 2], [1])
+    for row, m in zip(out, stack):
+        assert np.array_equal(row, schur_complement(CovarianceMatrix.from_matrix(m), [0, 2]))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2.0])
+def test_from_dict_accepts_integral_mode_counts(n_modes):
+    sigma = CovarianceMatrix.from_dict({"n_modes": n_modes, "matrix": np.eye(2 * int(n_modes)).tolist()})
+    assert sigma.n_modes == int(n_modes) and type(sigma.n_modes) is int
+
+
+@pytest.mark.parametrize("n_modes", [1.9, True, float("inf")])
+def test_from_dict_rejects_non_integral_mode_counts(n_modes):
+    with pytest.raises(UsageError):
+        CovarianceMatrix.from_dict({"n_modes": n_modes, "matrix": [[1.0, 0.0], [0.0, 1.0]]})
